@@ -18,10 +18,11 @@ that cost O(delta):
   the serve layer double-buffers.
 """
 
+from ..infer.gibbs import component_seed
 from .components import ComponentIndex
 from .expander import DeltaExpander, DeltaResult, PendingDelta
 from .grounding import DeltaGrounder, DeltaGroundingResult
-from .inference import build_component_graph, component_seed, componentwise_marginals, sample_component
+from .inference import build_component_graph, componentwise_marginals, sample_component
 
 __all__ = [
     "ComponentIndex",

@@ -8,21 +8,23 @@ no matter what happened elsewhere in the KB.
 
 Two ingredients make that hold:
 
-1. **Canonical graph construction** — variables are registered in sorted
-   id order and clauses added in sorted ``(head, body...)`` order, so the
-   chromatic Gibbs sweep (which iterates colors in registration order)
-   is a pure function of the component's *set* of rows.
-2. **Per-component seeds** — each component derives its RNG seed from
-   the base seed and its minimum member id via a splitmix-style mix, so
+1. **Canonical slot order** — the kernel orders each component's
+   members by id and its clauses by ``(head, body ids, weight)``, so the
+   chromatic sweep is a pure function of the component's *set* of rows.
+2. **Per-component seeds** — each component derives its draw-stream
+   seed from the base seed and its minimum member id via a
+   splitmix-style mix (:func:`~repro.infer.gibbs.component_seed`), so
    sampling order and the fate of other components are irrelevant.
 
-Sampling uses the counter-based stream kernel
-(:meth:`~repro.infer.gibbs.GibbsSampler.run_stream`), whose draws are a
-pure function of ``(seed, sweep, color, var)`` — the same property that
-lets :mod:`repro.infer.parallel` shard a component across worker
-processes with bit-identical marginals.  Callers that hold a parallel
-driver pass it via the ``driver=`` parameters here; ``None`` means
-sample serially in-process.
+Sampling is one call of the batched kernel
+(:class:`~repro.infer.gibbs.GibbsSampler` over a
+:class:`~repro.infer.gibbs.ComponentBatch`): every snapshot of a flush
+or a full expansion is swept together, one step per (sweep, colour),
+and a component's draws are a pure function of ``(component seed,
+sweep, colour, variable)`` — so batching changes nothing, and
+:mod:`repro.infer.parallel` can split a batch across worker processes.
+Callers that hold a parallel driver pass it via the ``driver=``
+parameters here; ``None`` means sample serially in-process.
 """
 
 from __future__ import annotations
@@ -30,29 +32,12 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..infer.factor_graph import FactorGraph
-from ..infer.gibbs import GibbsSampler
+from ..infer.gibbs import sample_snapshots
 from ..relational.types import Row
 from .components import ComponentIndex
 
 if TYPE_CHECKING:
     from ..infer.parallel import ParallelGibbsDriver
-
-_MASK = (1 << 64) - 1
-
-
-def component_seed(base_seed: int, anchor: int) -> int:
-    """Mix the run seed with a component's anchor (its min member id).
-
-    splitmix64-style finalizer: decorrelates neighbouring anchors so
-    components with ids 17 and 18 do not sample near-identical chains.
-    """
-    z = (
-        (base_seed & _MASK) * 0x9E3779B97F4A7C15
-        + (anchor & _MASK) * 0xBF58476D1CE4E5B9
-        + 0x94D049BB133111EB
-    ) & _MASK
-    z ^= z >> 31
-    return z
 
 
 def _clause_sort_key(row: Row) -> Tuple[int, int, int, float]:
@@ -61,11 +46,12 @@ def _clause_sort_key(row: Row) -> Tuple[int, int, int, float]:
 
 
 def build_component_graph(member_ids: Iterable[int], rows: Iterable[Row]) -> FactorGraph:
-    """Canonical factor graph for one component.
+    """Canonical :class:`FactorGraph` for one component (for the
+    graph-based engines: exact enumeration, BP, MAP).
 
-    Registration order fixes the chromatic sweep order, so it must be a
-    function of the component's contents alone: members sorted by id,
-    clauses sorted by ``(head, body ids, weight)``.
+    Variables are registered by sorted id and clauses in
+    ``(head, body ids, weight)`` order — the order the Gibbs kernel
+    gives the same component.
     """
     graph = FactorGraph()
     for var in sorted(member_ids):
@@ -79,15 +65,12 @@ def build_component_graph(member_ids: Iterable[int], rows: Iterable[Row]) -> Fac
 
 def sample_component(
     member_ids: Iterable[int],
-    rows: Iterable[Row],
+    rows: Sequence[Row],
     num_sweeps: int,
     seed: int,
 ) -> Dict[int, float]:
     """Marginals for one component, seeded by its anchor."""
-    members = sorted(member_ids)
-    graph = build_component_graph(members, rows)
-    sampler = GibbsSampler(graph, seed=component_seed(seed, members[0]))
-    return sampler.run_stream(num_sweeps=num_sweeps).marginals
+    return sample_components([(list(member_ids), list(rows))], num_sweeps, seed)
 
 
 def sample_components(
@@ -98,16 +81,13 @@ def sample_components(
 ) -> Dict[int, float]:
     """Marginals over a batch of ``(members, rows)`` component snapshots.
 
-    With a driver the batch runs on the worker pool; without one it runs
-    serially in-process.  Either way the result is bit-identical — the
-    driver's contract (see :mod:`repro.infer.parallel`).
+    With a driver the batch runs on the worker pool; without one it is
+    a single in-process kernel call.  Either way the result is
+    bit-identical — the driver's contract (see :mod:`repro.infer.parallel`).
     """
     if driver is not None:
         return driver.sample_components(snapshots, num_sweeps, seed)
-    marginals: Dict[int, float] = {}
-    for members, rows in snapshots:
-        marginals.update(sample_component(members, rows, num_sweeps, seed))
-    return marginals
+    return sample_snapshots(snapshots, num_sweeps, seed).marginals
 
 
 def componentwise_marginals(
@@ -116,11 +96,11 @@ def componentwise_marginals(
     seed: int,
     driver: Optional["ParallelGibbsDriver"] = None,
 ) -> Dict[int, float]:
-    """Marginals over a full TΦ, sampled one component at a time.
+    """Marginals over a full TΦ, sampled component by component.
 
     This is the full-expansion reference the delta path is bit-identical
-    to: a delta flush re-runs :func:`sample_component` on the touched
-    components with the same inputs this function would give them.
+    to: a delta flush re-samples the touched components with the same
+    inputs this function would give them.
     """
     variable_ids = {var for row in rows for var in row[:3] if var is not None}
     index = ComponentIndex.from_factor_rows(variable_ids, rows)

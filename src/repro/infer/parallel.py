@@ -17,15 +17,17 @@ this module is that role on our own infrastructure.  It reuses the
   waits for theirs (Gonzalez et al., AISTATS'11).
 
 Determinism contract: marginals are **bit-identical** to the serial
-sampler at a fixed seed regardless of ``num_workers``.  Two properties
-make this free rather than hard:
+sampler at a fixed seed regardless of ``num_workers``.  Every process
+runs the same batched kernel (:class:`~repro.infer.gibbs.GibbsSampler`),
+and two of its properties make this free rather than hard:
 
-1. Every draw in :meth:`~repro.infer.gibbs.GibbsSampler.run_stream`
-   is a pure function of ``(component seed, sweep, color, var)`` —
-   no shared RNG stream to serialise.
-2. :func:`~repro.delta.inference.build_component_graph` is canonical,
-   so every process derives the same dense indexing and colouring from
-   a component's content alone.
+1. Every draw is a pure function of ``(component seed, sweep, color,
+   var)`` — no shared RNG stream to serialise, so it does not matter
+   which batch a component lands in or which worker owns a variable.
+2. The kernel's slot arrays are canonical (members sorted by id,
+   clauses by ``(head, body ids, weight)``), so every process derives
+   the same dense indexing and colouring from a component's content
+   alone.
 
 Crash handling mirrors the MPP executor: any
 :class:`~repro.mpp.workers.WorkerCrashError` degrades the driver to
@@ -42,7 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..mpp.workers import WorkerCrashError, WorkerPool, _WorkerState
 from ..relational.types import Row
-from .gibbs import GibbsSampler
+from .gibbs import ComponentBatch, GibbsSampler, sample_snapshots
 
 #: components with at least this many variables are sharded across the
 #: whole pool instead of sampled by a single worker
@@ -122,24 +124,14 @@ def split_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
 def _sample_batch(
     snapshots: Sequence[ComponentSnapshot], num_sweeps: int, seed: int
 ) -> Tuple[Dict[int, float], int]:
-    """Sample whole components in-process; the serial reference.
+    """Sample whole components in-process: one kernel call.
 
-    Returns ``(marginals, max colours seen)``.  This exact loop runs on
-    the master in serial/degraded mode and inside each worker for its
-    batch, which is what makes the two modes bit-identical.
+    Returns ``(marginals, colours)``.  The master runs this in
+    serial/degraded mode and each worker runs it on its batch, which is
+    what makes the two modes bit-identical.
     """
-    from ..delta.inference import build_component_graph, component_seed
-
-    marginals: Dict[int, float] = {}
-    max_colors = 0
-    for member_ids, rows in snapshots:
-        members = sorted(member_ids)
-        graph = build_component_graph(members, rows)
-        sampler = GibbsSampler(graph, seed=component_seed(seed, members[0]))
-        result = sampler.run_stream(num_sweeps=num_sweeps)
-        marginals.update(result.marginals)
-        max_colors = max(max_colors, result.num_colors)
-    return marginals, max_colors
+    result = sample_snapshots(snapshots, num_sweeps, seed)
+    return result.marginals, result.num_colors
 
 
 def _task_sample_batch(state: _WorkerState, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -153,14 +145,11 @@ def _task_sample_batch(state: _WorkerState, payload: Dict[str, Any]) -> Dict[str
 def _run_shard_job(state: _WorkerState, job: Dict[str, Any]) -> Tuple[Dict[int, float], int]:
     """This worker's share of one sharded component's chromatic sweep.
 
-    Rebuilds the canonical graph locally (identical in every process),
-    sweeps only its contiguous range, and trades boundary states with
-    its peers at the end of every colour.
+    Rebuilds the component's slot arrays locally (identical in every
+    process), sweeps only its contiguous range, and trades boundary
+    states with its peers at the end of every colour.
     """
-    from ..delta.inference import build_component_graph
-
-    graph = build_component_graph(job["members"], job["rows"])
-    sampler = GibbsSampler(graph, seed=job["seed"])
+    sampler = GibbsSampler(ComponentBatch([(job["members"], job["rows"])]), job["seed"])
     ranges: List[Tuple[int, int]] = job["ranges"]
     participants: List[int] = job["participants"]
     me: int = job["me"]
@@ -171,7 +160,7 @@ def _run_shard_job(state: _WorkerState, job: Dict[str, Any]) -> Tuple[Dict[int, 
         return result.marginals, result.num_colors
 
     # vars each peer needs from me: my vars with a neighbour in its range
-    neighbors = graph.neighbors()
+    neighbors = sampler.neighbors()
     send_sets: Dict[int, set] = {}
     for position, peer in enumerate(participants):
         if position == me:
@@ -343,8 +332,6 @@ class ParallelGibbsDriver:
         seed: int,
         started: float,
     ) -> Dict[int, float]:
-        from ..delta.inference import component_seed
-
         pool = self._ensure_pool()
         plan = plan_shards(snapshots, pool.num_workers, self.shard_threshold)
         marginals: Dict[int, float] = {}
@@ -375,7 +362,7 @@ class ParallelGibbsDriver:
                             "members": members,
                             "rows": rows,
                             "num_sweeps": num_sweeps,
-                            "seed": component_seed(seed, members[0]),
+                            "seed": seed,
                             "ranges": ranges,
                             "participants": participants,
                             "me": me,

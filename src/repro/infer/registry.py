@@ -16,9 +16,10 @@ An engine is any object with the :class:`InferenceEngine` surface:
 ``marginals(rows, config)`` mapping TΦ rows to ``{fact id: P(true)}``,
 plus ``info()`` and ``close()``.  The built-ins:
 
-- ``"gibbs"`` — componentwise chromatic Gibbs via the stream kernel;
-  with ``num_workers >= 2`` it samples on the persistent worker pool
-  (:mod:`repro.infer.parallel`) with bit-identical marginals.
+- ``"gibbs"`` — chromatic Gibbs over every component in one batched
+  kernel call (:mod:`repro.infer.gibbs`); with ``num_workers >= 2`` it
+  samples on the persistent worker pool (:mod:`repro.infer.parallel`)
+  with bit-identical marginals.
 - ``"bp"`` — loopy belief propagation over the full graph
   (deterministic, no workers).
 """
@@ -30,7 +31,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    List,
     Protocol,
     Sequence,
     Tuple,
@@ -118,10 +118,10 @@ def build_engine(spec: "InferenceConfig | str | InferenceEngine") -> InferenceEn
 class GibbsEngine:
     """Componentwise chromatic Gibbs, optionally on the worker pool.
 
-    Sampling always goes component-by-component through the stream
-    kernel, so serial (``num_workers=0``) and pooled runs are
-    bit-identical at a fixed seed — the determinism contract
-    :mod:`repro.infer.parallel` documents.
+    Components are found with :class:`~repro.delta.components.ComponentIndex`
+    and sampled by the batched kernel, each with its own seed, so serial
+    (``num_workers=0``) and pooled runs are bit-identical at a fixed
+    seed — the determinism contract :mod:`repro.infer.parallel` documents.
     """
 
     name = "gibbs"
@@ -139,18 +139,10 @@ class GibbsEngine:
     def marginals(
         self, rows: Sequence[Row], config: "InferenceConfig"
     ) -> Dict[int, float]:
-        from ..delta.components import ComponentIndex
+        from ..delta.inference import componentwise_marginals
 
-        variable_ids = {
-            var for row in rows for var in row[:3] if var is not None
-        }
-        index = ComponentIndex.from_factor_rows(variable_ids, rows)
-        snapshots: List[Tuple[List[int], List[Row]]] = [
-            (index.members(root), index.factors(root))
-            for root in index.roots()
-        ]
-        return self.driver.sample_components(
-            snapshots, config.sweeps, config.seed
+        return componentwise_marginals(
+            rows, config.sweeps, config.seed, driver=self.driver
         )
 
     def info(self) -> Dict[str, Any]:

@@ -102,7 +102,7 @@ def test_chromatic_coloring_is_valid():
     graph = chain_graph()
     sampler = GibbsSampler(graph, seed=0)
     neighbors = graph.neighbors()
-    for color_class in sampler._colors:
+    for color_class in sampler.color_classes():
         class_set = set(color_class)
         for var in color_class:
             assert class_set.isdisjoint(neighbors[var])
